@@ -47,6 +47,15 @@ pub use stream::{
 
 use std::fmt;
 
+/// Reserve room for `additional` more output bytes, or fail with an
+/// error instead of aborting the process: decoders size their output
+/// from lengths read out of untrusted frames, and an allocation failure
+/// is not something `catch_unwind` can stop.
+pub(crate) fn try_grow(out: &mut Vec<u8>, additional: usize) -> Result<(), Error> {
+    out.try_reserve(additional)
+        .map_err(|_| Error::Malformed("declared length does not fit in memory"))
+}
+
 /// Identifies the compression algorithm stored inside a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {
@@ -563,6 +572,20 @@ mod tests {
     fn roundtrip(data: &[u8], codec: Codec) {
         let frame = compress(data, codec);
         assert_eq!(decompress(&frame).unwrap(), data, "codec {codec}");
+    }
+
+    /// Regression: a frame of a few bytes declaring 2^62 output bytes
+    /// used to abort the process inside `Vec::with_capacity`.
+    #[test]
+    fn forged_declared_length_is_an_error_not_an_abort() {
+        for codec in [Codec::ZeroRle, Codec::Lz77, Codec::Shuffle4Lz77] {
+            let mut frame = MAGIC.to_vec();
+            frame.push(codec.id());
+            varint::write(&mut frame, 1 << 62);
+            frame.push(0);
+            frame.extend_from_slice(&crc32(&[]).to_le_bytes());
+            assert!(decompress(&frame).is_err(), "codec {codec}");
+        }
     }
 
     #[test]

@@ -111,36 +111,52 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode an LZ77 token stream produced by [`encode`].
+/// Decode an LZ77 token stream produced by [`encode`]. `expected_len` is
+/// the length the frame declares, read from untrusted bytes: the stream
+/// is rejected the moment it would produce more, no match may be longer
+/// than [`encode`] ever emits, and the capacity reserved up front never
+/// exceeds what `payload` can expand to — a forged length costs no
+/// allocation.
 pub fn decode(payload: &[u8], expected_len: usize) -> Result<Vec<u8>, Error> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
+    crate::try_grow(
+        &mut out,
+        expected_len.min(payload.len().saturating_mul(MAX_MATCH)),
+    )?;
     let mut pos = 0;
     while pos < payload.len() {
-        let lit_len = varint::read(payload, &mut pos)? as usize;
-        if out.len() + lit_len > expected_len {
+        // `out.len() <= expected_len` holds throughout, so the room left
+        // never underflows.
+        let lit_len = varint::read(payload, &mut pos)?;
+        if lit_len > (expected_len - out.len()) as u64 {
             return Err(Error::Malformed("lz77 literals exceed declared length"));
         }
         let lit_end = pos
-            .checked_add(lit_len)
+            .checked_add(lit_len as usize)
             .ok_or(Error::Malformed("lz77 literal overflow"))?;
         let lits = payload.get(pos..lit_end).ok_or(Error::Truncated)?;
         out.extend_from_slice(lits);
         pos = lit_end;
 
-        let match_len = varint::read(payload, &mut pos)? as usize;
+        let match_len = varint::read(payload, &mut pos)?;
         if match_len == 0 {
             continue;
         }
-        let dist = varint::read(payload, &mut pos)? as usize;
-        if dist == 0 || dist > out.len() {
+        if match_len > MAX_MATCH as u64 {
+            return Err(Error::Malformed("lz77 match longer than the encoder emits"));
+        }
+        let match_len = match_len as usize;
+        let dist = varint::read(payload, &mut pos)?;
+        if dist == 0 || dist > out.len() as u64 {
             return Err(Error::Malformed("lz77 distance out of range"));
         }
-        if out.len() + match_len > expected_len {
+        if match_len > expected_len - out.len() {
             return Err(Error::Malformed("lz77 match exceeds declared length"));
         }
+        crate::try_grow(&mut out, match_len)?;
         // Byte-by-byte copy: overlapping matches (dist < len) are the RLE
         // idiom and must self-reference the bytes being produced.
-        let start = out.len() - dist;
+        let start = out.len() - dist as usize;
         for k in 0..match_len {
             let b = out[start + k];
             out.push(b);
@@ -221,6 +237,27 @@ mod tests {
         varint::write(&mut payload, 5); // match_len
         varint::write(&mut payload, 10); // dist > produced bytes
         assert!(decode(&payload, 100).is_err());
+    }
+
+    #[test]
+    fn over_long_match_rejected() {
+        let mut payload = Vec::new();
+        varint::write(&mut payload, 1);
+        payload.push(b'x');
+        varint::write(&mut payload, MAX_MATCH as u64 + 1);
+        varint::write(&mut payload, 1);
+        assert!(decode(&payload, usize::MAX).is_err());
+    }
+
+    #[test]
+    fn forged_length_reserves_only_what_the_payload_can_produce() {
+        // A declared length of 2^62 used to be passed to
+        // `Vec::with_capacity` as-is: an allocation failure that aborts
+        // the process. Now it is bounded by the payload.
+        assert_eq!(decode(&[5], 1 << 62), Err(Error::Truncated));
+        let mut payload = Vec::new();
+        varint::write(&mut payload, u64::MAX);
+        assert!(decode(&payload, usize::MAX).is_err());
     }
 
     #[test]

@@ -45,17 +45,35 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a zero-RLE token stream; `expected_len` bounds allocation and
-/// guards against decompression bombs in malformed frames.
+/// Most bytes `payload_len` bytes of tokens can decode to: one zero run
+/// whose varint fills all but the literal-length byte, plus literals.
+fn max_output(payload_len: usize) -> usize {
+    let run_bits = payload_len.saturating_sub(1).saturating_mul(7).min(64) as u32;
+    1usize
+        .checked_shl(run_bits)
+        .unwrap_or(usize::MAX)
+        .saturating_add(payload_len)
+}
+
+/// Decode a zero-RLE token stream. `expected_len` is the length the
+/// frame declares, read from untrusted bytes: the stream is rejected the
+/// moment it would produce more, the capacity reserved up front never
+/// exceeds what `payload` can expand to, and every reservation is
+/// fallible — a forged length is an error, never an abort.
 pub fn decode(payload: &[u8], expected_len: usize) -> Result<Vec<u8>, Error> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
+    crate::try_grow(&mut out, expected_len.min(max_output(payload.len())))?;
     let mut pos = 0;
     while pos < payload.len() {
-        let zero_run = varint::read(payload, &mut pos)? as usize;
-        let lit_len = varint::read(payload, &mut pos)? as usize;
-        if out.len() + zero_run + lit_len > expected_len {
+        let zero_run = varint::read(payload, &mut pos)?;
+        let lit_len = varint::read(payload, &mut pos)?;
+        // `out.len() <= expected_len` holds throughout, so the room left
+        // never underflows; the sum is checked in u128.
+        if u128::from(zero_run) + u128::from(lit_len) > (expected_len - out.len()) as u128 {
             return Err(Error::Malformed("rle output exceeds declared length"));
         }
+        let (zero_run, lit_len) = (zero_run as usize, lit_len as usize);
+        crate::try_grow(&mut out, zero_run)?;
         out.resize(out.len() + zero_run, 0);
         let lit_end = pos
             .checked_add(lit_len)
@@ -121,6 +139,18 @@ mod tests {
         varint::write(&mut payload, 1_000_000);
         varint::write(&mut payload, 0);
         assert!(decode(&payload, 10).is_err());
+    }
+
+    #[test]
+    fn forged_length_is_an_error_not_an_abort() {
+        let mut payload = Vec::new();
+        varint::write(&mut payload, 1 << 62);
+        varint::write(&mut payload, 0);
+        assert!(decode(&payload, usize::MAX).is_err());
+        let mut payload = Vec::new();
+        varint::write(&mut payload, u64::MAX);
+        varint::write(&mut payload, u64::MAX);
+        assert!(decode(&payload, usize::MAX).is_err());
     }
 
     #[test]

@@ -96,7 +96,10 @@ pub fn decompress_stream_parallel(stream: &[u8], threads: usize) -> Result<Vec<u
     }
     let mut pos = STREAM_MAGIC.len();
     let count = varint::read(stream, &mut pos)?;
-    let mut frames: Vec<&[u8]> = Vec::with_capacity(count.min(1 << 20) as usize);
+    // Every frame costs at least its one-byte length, so the bytes left
+    // bound the count a well-formed stream can hold.
+    let mut frames: Vec<&[u8]> =
+        Vec::with_capacity(count.min((stream.len() - pos) as u64) as usize);
     for _ in 0..count {
         let frame_len = varint::read(stream, &mut pos)? as usize;
         let end = pos

@@ -1007,7 +1007,11 @@ impl CloudDevice {
                         // still consumes it); only the wire is spared.
                         profile.bytes_to_device += full_bytes;
                         staged_keys.push((m.name.clone(), storage_key.clone()));
-                        cached_keys.push(storage_key);
+                        // A dedupe alias hits on its source's key: fetch
+                        // that object once.
+                        if !cached_keys.contains(&storage_key) {
+                            cached_keys.push(storage_key);
+                        }
                         plan.decisions.push(MapDecision {
                             var: m.name.clone(),
                             dir: m.dir,
@@ -1181,14 +1185,25 @@ impl CloudDevice {
         // Steps 2+3 fused (pipelined path): the upload and the driver's
         // read-back run as one two-stage pipeline — each input object is
         // fetched back the moment its put lands, while later buffers are
-        // still compressing. The serial path keeps the paper's original
-        // upload-barrier-then-fetch sequence.
+        // still compressing. Small inputs share packed objects, so a
+        // fan-in pays a round trip per pack rather than per buffer; cache
+        // hits on packed members resolve through the pack index. The
+        // serial path keeps the paper's original upload-barrier-then-fetch
+        // sequence, one object per buffer.
         let n_put = upload_items.len();
+        let mut upload_objects = n_put;
         let (upload, fetched) = if self.config.pipelined_transfers {
             let (payloads, prep) = self
                 .transfer
-                .upload_fetch_pipelined(upload_items, cached_keys, self.config.io_threads)
+                .upload_fetch_packed(upload_items, cached_keys, self.config.io_threads)
                 .map_err(infra)?;
+            upload_objects = prep.objects_put;
+            if prep.objects_put < prep.buffers_put {
+                profile.note(format!(
+                    "packed {} inputs into {} objects",
+                    prep.buffers_put, prep.objects_put
+                ));
+            }
             resilience.transient_retries += prep.total_retries();
             resilience.corruption_refetches += prep.total_refetches();
             resilience.timeouts += prep.total_timeouts();
@@ -1233,10 +1248,18 @@ impl CloudDevice {
         let mut by_key: HashMap<String, cloud_storage::PoolBuf> = fetched.into_iter().collect();
         let mut cluster_env = DataEnv::new();
         let delta_on = self.config.map_optimize && self.config.delta_transfers;
-        for (name, key) in &staged_keys {
+        for (i, (name, key)) in staged_keys.iter().enumerate() {
             let host = env.get_erased(name)?;
             let tag = host.tag();
-            let bytes = by_key.remove(key).expect("every staged input was fetched");
+            // Cache hits of a dedupe alias and its source share one key:
+            // every holder but the last reads a copy.
+            let shared = staged_keys[i + 1..].iter().any(|(_, k)| k == key);
+            let bytes = if shared {
+                by_key.get(key).cloned()
+            } else {
+                by_key.remove(key)
+            }
+            .expect("every staged input was fetched");
             match staged_kind.get(name.as_str()) {
                 // Narrowed prefix: pad back to full length. The tail is
                 // never read by the region (that is what made the
@@ -1563,6 +1586,7 @@ impl CloudDevice {
             profile: profile.clone(),
             loops: outcome.loops,
             upload,
+            upload_objects,
             download,
             cost,
             resilience,

@@ -100,8 +100,12 @@ pub struct OffloadReport {
     pub profile: ExecProfile,
     /// Per-loop (per map-reduce stage) statistics.
     pub loops: Vec<LoopStats>,
-    /// Host → cloud transfer details (step 2).
+    /// Host → cloud transfer details (step 2), one item per buffer put.
     pub upload: TransferReport,
+    /// Store objects the step-2 upload wrote. Fewer than
+    /// `upload.items.len()` (the buffers it carried) when small inputs
+    /// shared packed objects.
+    pub upload_objects: usize,
     /// Cloud → host transfer details (step 8).
     pub download: TransferReport,
     /// Pay-as-you-go billing, when `ec2-autostart` is on.
@@ -148,7 +152,7 @@ impl std::fmt::Display for OffloadReport {
         }
         write!(
             f,
-            "  transfers: {} -> {} B up ({}), {} B down",
+            "  transfers: {} -> {} B up ({}, {} buffers in {} objects), {} B down",
             self.upload.raw_bytes(),
             self.upload.wire_bytes(),
             if self.upload.items.iter().any(|i| i.compressed) {
@@ -156,6 +160,8 @@ impl std::fmt::Display for OffloadReport {
             } else {
                 "raw"
             },
+            self.upload.items.len(),
+            self.upload_objects,
             self.download.raw_bytes(),
         )?;
         if self.resilience.total_events() > 0 || self.resilience.breaker_tripped {

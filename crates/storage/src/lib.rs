@@ -28,6 +28,7 @@ mod chaos;
 mod hdfs;
 mod journal;
 mod latency;
+mod pack;
 mod pool;
 mod retry;
 mod s3;

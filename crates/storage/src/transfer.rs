@@ -19,6 +19,7 @@
 //! surfaces as retryable [`StorageError::Corrupted`], never as silent
 //! bad data.
 
+use crate::pack::{self, PackMember};
 use crate::pool::{BytePool, PoolBuf};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::{StorageError, StoreHandle};
@@ -38,7 +39,9 @@ pub struct TransferConfig {
     /// streams (bounded working set, multipart-upload friendly, and the
     /// unit of intra-buffer compression parallelism).
     pub stream_threshold: usize,
-    /// Chunk size for streamed compression.
+    /// Chunk size for streamed compression. Also the raw-byte cap of a
+    /// packed object and of each buffer packed into one (see
+    /// [`TransferManager::upload_fetch_packed`]).
     pub stream_chunk: usize,
     /// Worker threads fanned over the chunks of a single streamed buffer
     /// (compress and decompress). 0 or 1 = sequential.
@@ -187,6 +190,11 @@ pub struct PipelineReport {
     pub cpu_workers: usize,
     /// I/O-stage pool width the busy time was summed over.
     pub io_workers: usize,
+    /// Buffers the pipeline put (its put items).
+    pub buffers_put: usize,
+    /// Store objects those buffers went out as: fewer than
+    /// `buffers_put` when small buffers shared a pack.
+    pub objects_put: usize,
 }
 
 impl PipelineReport {
@@ -252,6 +260,13 @@ pub type DownloadResult = (Vec<(String, PoolBuf)>, TransferReport);
 /// Payloads (put items first, then fetch-only items, each in request
 /// order) plus the pipeline report.
 pub type PipelineResult = (Vec<(String, PoolBuf)>, PipelineReport);
+
+/// A decoded download: the payload, the wire bytes it arrived as, and
+/// whether those were compressed.
+type Decoded<P> = (P, u64, bool);
+
+/// The members decoded from one pack fetch, plus the fetch's retry stats.
+type PackFetch = (Vec<Decoded<PoolBuf>>, RetryStats);
 
 /// One committed output in a [`CommitManifest`]: logical name, the
 /// staged `_tmp/` key holding the bytes, and the wire crc32 recorded at
@@ -327,6 +342,10 @@ pub struct TransferManager {
     /// live dataflow sessions whose resident intermediates have no
     /// commit manifest by design.
     leases: parking_lot::Mutex<std::collections::HashSet<String>>,
+    /// Pack index: the key of every buffer that went out inside a pack,
+    /// mapped to the pack object carrying it. Fetches of such a key
+    /// resolve here.
+    packs: parking_lot::Mutex<HashMap<String, String>>,
 }
 
 impl TransferManager {
@@ -338,6 +357,7 @@ impl TransferManager {
             ledger: parking_lot::Mutex::new(HashMap::new()),
             pool: BytePool::new(),
             leases: parking_lot::Mutex::new(std::collections::HashSet::new()),
+            packs: parking_lot::Mutex::new(HashMap::new()),
         }
     }
 
@@ -353,11 +373,19 @@ impl TransferManager {
         &self.pool
     }
 
-    /// Drop integrity-ledger entries under `prefix` — call when the
-    /// objects themselves are deleted, so the ledger doesn't grow without
-    /// bound across offloads.
+    /// Drop integrity-ledger and pack-index entries under `prefix` —
+    /// call when the objects themselves are deleted, so neither table
+    /// grows without bound across offloads.
     pub fn forget_prefix(&self, prefix: &str) {
         self.ledger.lock().retain(|k, _| !k.starts_with(prefix));
+        self.packs
+            .lock()
+            .retain(|member, pack| !member.starts_with(prefix) && !pack.starts_with(prefix));
+    }
+
+    /// The pack object carrying `key`, when `key` went out inside one.
+    pub(crate) fn pack_of(&self, key: &str) -> Option<String> {
+        self.packs.lock().get(key).cloned()
     }
 
     /// The wire crc32 this manager recorded when it uploaded `key`, if
@@ -411,7 +439,7 @@ impl TransferManager {
     /// Fetch and parse `region`'s commit manifest.
     pub fn read_manifest(&self, region: &str) -> Result<CommitManifest, StorageError> {
         let key = Self::manifest_key(region);
-        let (bytes, _, _, _) = self.fetch_with_retry(&key, None)?;
+        let ((bytes, _, _), _) = self.fetch_plain(&key, None)?;
         CommitManifest::from_bytes(&key, &bytes)
     }
 
@@ -533,6 +561,8 @@ impl TransferManager {
                     if let Some(crc) = crc {
                         self.ledger.lock().insert(key.to_string(), crc);
                     }
+                    // The plain object now answers for `key`, not a pack.
+                    self.packs.lock().remove(key);
                     return Ok(sess.stats());
                 }
                 Err(e) => sess.on_error(e)?,
@@ -540,15 +570,19 @@ impl TransferManager {
         }
     }
 
-    /// Get `key` with retries, verify integrity, and decompress. With
-    /// `timers = (io, cpu)`, store time lands on `io` and
-    /// verification/decompression on `cpu` (the pipelined accounting).
-    /// Returns `(payload, wire_bytes, compressed, stats)`.
-    fn fetch_with_retry(
+    /// Get `key` with retries, verify its integrity, and `decode` it;
+    /// `decode` learns whether the wire bytes were checked against a
+    /// recorded crc. With `timers = (io, cpu)`, store time lands on `io`
+    /// and verification/decoding on `cpu` (the pipelined accounting). A
+    /// `Corrupted` verdict from the check or from `decode` re-fetches
+    /// through the bounded re-fetch budget: an in-flight bit flip heals
+    /// on the next read, at-rest damage exhausts the budget.
+    fn fetch_with_retry<T>(
         &self,
         key: &str,
         timers: Option<(&AtomicU64, &AtomicU64)>,
-    ) -> Result<(Vec<u8>, u64, bool, RetryStats), StorageError> {
+        decode: impl Fn(Vec<u8>, bool) -> Result<T, StorageError>,
+    ) -> Result<(T, RetryStats), StorageError> {
         let mut sess = self.config.retry.session(key);
         loop {
             let t = Instant::now();
@@ -564,48 +598,117 @@ impl TransferManager {
                 }
             };
             let t = Instant::now();
-            let decoded = self.verify_and_decode(key, wire);
+            let decoded = self
+                .verify(key, &wire)
+                .and_then(|verified| decode(wire, verified));
             if let Some((_, cpu)) = timers {
                 cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
             match decoded {
-                Ok((payload, wire_bytes, compressed)) => {
-                    return Ok((payload, wire_bytes, compressed, sess.stats()))
-                }
-                // Corruption is retryable through the re-fetch budget: an
-                // in-flight bit flip heals on the next read, at-rest
-                // damage exhausts the budget and surfaces `Corrupted`.
+                Ok(value) => return Ok((value, sess.stats())),
                 Err(e) => sess.on_error(e)?,
             }
         }
     }
 
-    /// Check the wire bytes against the ledger (or backend checksum) and
-    /// decompress. Returns `(payload, wire_bytes, compressed)`.
-    fn verify_and_decode(
+    /// Fetch the plain object `key` and decompress it. Returns
+    /// `((payload, wire_bytes, compressed), stats)`.
+    fn fetch_plain(
         &self,
         key: &str,
-        wire: Vec<u8>,
-    ) -> Result<(Vec<u8>, u64, bool), StorageError> {
-        let wire_bytes = wire.len() as u64;
-        if self.config.verify_integrity {
-            let expected = self
-                .ledger
-                .lock()
-                .get(key)
-                .copied()
-                .or_else(|| self.store.checksum(key));
-            if let Some(expected) = expected {
-                let actual = gzlite::crc32(&wire);
+        timers: Option<(&AtomicU64, &AtomicU64)>,
+    ) -> Result<(Decoded<Vec<u8>>, RetryStats), StorageError> {
+        self.fetch_with_retry(key, timers, |wire, _| {
+            let wire_bytes = wire.len() as u64;
+            let (payload, compressed) = decode_wire(key, wire, self.config.codec_threads)?;
+            Ok((payload, wire_bytes, compressed))
+        })
+    }
+
+    /// Fetch pack `pack_key` once and decode the `wanted` members from
+    /// slices of it, in order, fanned over the codec threads. Returns one
+    /// `(payload, wire_bytes, compressed)` per wanted key. Damage
+    /// anywhere in the pack — its crc, its header, a member's frame —
+    /// re-fetches the whole pack, so one corrupted read heals with one
+    /// re-get. The pack's crc covers its members; their own header crcs
+    /// are checked only when the pack had no recorded crc to check.
+    fn fetch_pack(
+        &self,
+        pack_key: &str,
+        wanted: &[&str],
+        timers: Option<(&AtomicU64, &AtomicU64)>,
+    ) -> Result<PackFetch, StorageError> {
+        self.fetch_with_retry(pack_key, timers, |wire, verified| {
+            let members = pack::open(&wire)
+                .map_err(|e| StorageError::Corrupted(format!("{pack_key}: {e}")))?;
+            let dir = pack::split_key(pack_key).0;
+            let check_members = self.config.verify_integrity && !verified;
+            fan_out(wanted, self.config.codec_threads, |&key| {
+                let m = key
+                    .strip_prefix(dir)
+                    .and_then(|name| members.iter().find(|m| m.name == name))
+                    .ok_or_else(|| {
+                        StorageError::NotFound(format!("{key} (not in pack {pack_key})"))
+                    })?;
+                if check_members && gzlite::crc32(m.wire) != m.wire_crc {
+                    return Err(StorageError::Corrupted(format!(
+                        "{key}: member wire crc32 disagrees with pack {pack_key}"
+                    )));
+                }
+                let payload = if m.compressed {
+                    self.pool.adopt(decode_frame(key, m.wire, 1)?)
+                } else {
+                    let mut raw = self.pool.get(m.wire.len());
+                    raw.extend_from_slice(m.wire);
+                    raw
+                };
+                Ok((payload, m.wire.len() as u64, m.compressed))
+            })
+            .into_iter()
+            .collect()
+        })
+    }
+
+    /// Fetch `key` wherever it lives — its own object, or a member slot
+    /// of the pack the index names for it.
+    fn fetch_any(&self, key: &str) -> Result<(Decoded<PoolBuf>, RetryStats), StorageError> {
+        match self.pack_of(key) {
+            Some(pack_key) => {
+                let (mut decoded, stats) = self.fetch_pack(&pack_key, &[key], None)?;
+                Ok((decoded.remove(0), stats))
+            }
+            None => {
+                let ((payload, wire_bytes, compressed), stats) = self.fetch_plain(key, None)?;
+                Ok(((self.pool.adopt(payload), wire_bytes, compressed), stats))
+            }
+        }
+    }
+
+    /// Check `wire` against the ledger's crc32 for `key` (or the
+    /// backend checksum) when integrity verification is on. Returns
+    /// whether there was a recorded crc to check against.
+    fn verify(&self, key: &str, wire: &[u8]) -> Result<bool, StorageError> {
+        if !self.config.verify_integrity {
+            return Ok(false);
+        }
+        let expected = self
+            .ledger
+            .lock()
+            .get(key)
+            .copied()
+            .or_else(|| self.store.checksum(key));
+        match expected {
+            Some(expected) => {
+                let actual = gzlite::crc32(wire);
                 if actual != expected {
                     return Err(StorageError::Corrupted(format!(
                         "{key}: wire crc32 {actual:#010x} != recorded {expected:#010x}"
                     )));
                 }
+                Ok(true)
             }
+            None => Ok(false),
         }
-        let (payload, compressed) = decode_wire(key, wire, self.config.codec_threads)?;
-        Ok((payload, wire_bytes, compressed))
     }
 
     /// Upload a batch of `(key, payload)` buffers, one worker thread per
@@ -654,7 +757,7 @@ impl TransferManager {
             keys.into_iter().map(|k| (k, PoolBuf::default())).collect(),
             |key, _| {
                 let t = Instant::now();
-                let (payload, wire_bytes, compressed, stats) = self.fetch_with_retry(&key, None)?;
+                let ((payload, wire_bytes, compressed), stats) = self.fetch_any(&key)?;
                 let mut report = ItemReport {
                     key,
                     raw_bytes: payload.len() as u64,
@@ -667,7 +770,7 @@ impl TransferManager {
                     backoff_s: 0.0,
                 };
                 report.fold_stats(stats);
-                Ok((report, self.pool.adopt(payload)))
+                Ok((report, payload))
             },
         )?;
         let mut items = Vec::with_capacity(results.len());
@@ -693,26 +796,83 @@ impl TransferManager {
     /// whole upload batch.
     ///
     /// `put_items` travel the full compress → put → get → decompress
-    /// chain; `fetch_only` keys (already staged, e.g. upload-cache hits)
-    /// skip straight to the get. Returns `(key, payload)` pairs —
-    /// `put_items` first in request order, then `fetch_only` in request
-    /// order — plus per-stage busy-time accounting.
+    /// chain, one object per buffer; `fetch_only` keys (already staged,
+    /// e.g. upload-cache hits) skip straight to the get. Returns `(key,
+    /// payload)` pairs — `put_items` first in request order, then
+    /// `fetch_only` in request order — plus per-stage busy-time
+    /// accounting.
     pub fn upload_fetch_pipelined<B: Into<PoolBuf>>(
         &self,
         put_items: Vec<(String, B)>,
         fetch_only: Vec<String>,
         io_threads: usize,
     ) -> Result<PipelineResult, StorageError> {
+        self.pipeline(put_items, fetch_only, io_threads, false)
+    }
+
+    /// [`upload_fetch_pipelined`](Self::upload_fetch_pipelined) with
+    /// small put items packed: buffers of at most
+    /// [`stream_chunk`](TransferConfig::stream_chunk) raw bytes are
+    /// grouped, in request order, into packs of at most `stream_chunk`
+    /// raw bytes, and each pack costs one put and one get (format in the
+    /// crate's `pack` module). A group of one goes out as a plain object.
+    /// Members are still encoded one by one, each on its own `plan_wire`
+    /// decision, and the report keeps one item per buffer. The integrity
+    /// ledger records the pack's crc under the pack key and each
+    /// member's wire crc under the member's key; the pack index lets
+    /// later fetches of a member key (upload-cache hits) resolve to its
+    /// pack, and a pack several such keys share is fetched once.
+    ///
+    /// The cap is one stream chunk rather than the larger stream
+    /// threshold because the allocator keeps what large objects leave
+    /// behind: on glibc, freeing a ~1 MiB pack raises the dynamic mmap
+    /// and trim thresholds, after which every per-thread arena may hold
+    /// up to 2 MiB of free memory. Measured on the `fanin_wan` workload
+    /// of `perfbench`, 1 MiB packs raised peak RSS by 20-50%, 512 KiB
+    /// packs by up to 28%, 256 KiB packs by about 4%, at the same region
+    /// time (the packs are in flight in parallel).
+    pub fn upload_fetch_packed<B: Into<PoolBuf>>(
+        &self,
+        put_items: Vec<(String, B)>,
+        fetch_only: Vec<String>,
+        io_threads: usize,
+    ) -> Result<PipelineResult, StorageError> {
+        self.pipeline(put_items, fetch_only, io_threads, true)
+    }
+
+    fn pipeline<B: Into<PoolBuf>>(
+        &self,
+        put_items: Vec<(String, B)>,
+        fetch_only: Vec<String>,
+        io_threads: usize,
+        packing: bool,
+    ) -> Result<PipelineResult, StorageError> {
         use std::sync::atomic::AtomicUsize;
 
         let put_items: Vec<(String, PoolBuf)> =
             put_items.into_iter().map(|(k, b)| (k, b.into())).collect();
         let t0 = Instant::now();
-        let total = put_items.len() + fetch_only.len();
+        let n_put = put_items.len();
+        let total = n_put + fetch_only.len();
         if total == 0 {
             return Ok((Vec::new(), PipelineReport::default()));
         }
 
+        /// One buffer a pack carries, with its member wire crc32.
+        struct Packed {
+            idx: usize,
+            key: String,
+            crc: u32,
+        }
+        /// A member encoded by the compression stage, waiting for the
+        /// rest of its pack.
+        struct Encoded {
+            idx: usize,
+            key: String,
+            wire: Vec<u8>,
+            compressed: bool,
+            crc: u32,
+        }
         enum IoJob {
             /// Compressed payload ready to hit the store and come back.
             PutGet {
@@ -723,6 +883,61 @@ impl TransferManager {
             },
             /// Already staged: read (and decompress) only.
             Get { idx: usize, key: String },
+            /// A sealed pack: put it, read it back, decode its members.
+            PackPutGet {
+                key: String,
+                wire: Vec<u8>,
+                members: Vec<Packed>,
+            },
+            /// A pack staged earlier: read it once, decode the wanted
+            /// members.
+            PackGet {
+                key: String,
+                members: Vec<(usize, String)>,
+            },
+        }
+
+        // Packing plan, from raw sizes alone: `slot_of[i]` places put
+        // item `i` in a pack, and each pack assembles its members as the
+        // compression stage finishes them.
+        let groups = if packing {
+            let sized: Vec<(&str, usize)> = put_items
+                .iter()
+                .map(|(k, p)| (k.as_str(), p.len()))
+                .collect();
+            pack::plan(&sized, self.config.stream_chunk)
+        } else {
+            Vec::new()
+        };
+        let mut slot_of: Vec<Option<(usize, usize)>> = vec![None; n_put];
+        for (g, members) in groups.iter().enumerate() {
+            for (pos, &i) in members.iter().enumerate() {
+                slot_of[i] = Some((g, pos));
+            }
+        }
+        type Assembly = parking_lot::Mutex<(Vec<Option<Encoded>>, usize)>;
+        let assemblies: Vec<Assembly> = groups
+            .iter()
+            .map(|m| parking_lot::Mutex::new(((0..m.len()).map(|_| None).collect(), m.len())))
+            .collect();
+        let objects_put = n_put - groups.iter().map(|m| m.len() - 1).sum::<usize>();
+
+        // Fetch-only keys a pack carries are grouped per pack, so each
+        // pack is fetched once however many of its members are wanted.
+        let mut plain_gets: Vec<(usize, String)> = Vec::new();
+        let mut pack_gets: Vec<(String, Vec<(usize, String)>)> = Vec::new();
+        {
+            let index = self.packs.lock();
+            for (i, key) in fetch_only.into_iter().enumerate() {
+                let idx = n_put + i;
+                match index.get(&key) {
+                    Some(pack_key) => match pack_gets.iter_mut().find(|(p, _)| p == pack_key) {
+                        Some((_, members)) => members.push((idx, key)),
+                        None => pack_gets.push((pack_key.clone(), vec![(idx, key)])),
+                    },
+                    None => plain_gets.push((idx, key)),
+                }
+            }
         }
 
         type Slot = parking_lot::Mutex<Option<Result<(ItemReport, PoolBuf), StorageError>>>;
@@ -730,8 +945,9 @@ impl TransferManager {
         let cpu_busy_ns = AtomicU64::new(0);
         let io_busy_ns = AtomicU64::new(0);
 
-        let cpu_threads = put_items.len().clamp(1, self.config.max_threads.max(1));
-        let io_threads = io_threads.max(1).min(total);
+        let cpu_threads = n_put.clamp(1, self.config.max_threads.max(1));
+        let io_jobs = objects_put + plain_gets.len() + pack_gets.len();
+        let io_threads = io_threads.max(1).min(io_jobs);
 
         type QueueSlot = parking_lot::Mutex<Option<(usize, String, PoolBuf)>>;
         let queue: Vec<QueueSlot> = put_items
@@ -740,7 +956,43 @@ impl TransferManager {
             .map(|(i, (k, p))| parking_lot::Mutex::new(Some((i, k, p))))
             .collect();
         let next = AtomicUsize::new(0);
-        let n_put = queue.len();
+
+        // Fill every member slot of a pack from one fetch outcome. The
+        // pack's own retry stats (its put and its get) land on the first
+        // member only, so each fault is counted once.
+        let fill_pack = |members: &[(usize, &str)],
+                         fetched: Result<PackFetch, StorageError>,
+                         put_stats: RetryStats| {
+            match fetched {
+                Ok((decoded, get_stats)) => {
+                    for (n, (&(idx, key), (payload, wire_bytes, compressed))) in
+                        members.iter().zip(decoded).enumerate()
+                    {
+                        let mut report = ItemReport {
+                            key: key.to_string(),
+                            raw_bytes: payload.len() as u64,
+                            wire_bytes,
+                            compressed,
+                            seconds: 0.0,
+                            retries: 0,
+                            refetches: 0,
+                            timeouts: 0,
+                            backoff_s: 0.0,
+                        };
+                        if n == 0 {
+                            report.fold_stats(put_stats);
+                            report.fold_stats(get_stats);
+                        }
+                        *slots[idx].lock() = Some(Ok((report, payload)));
+                    }
+                }
+                Err(e) => {
+                    for &(idx, _) in members {
+                        *slots[idx].lock() = Some(Err(e.clone()));
+                    }
+                }
+            }
+        };
 
         let (tx, rx) = crossbeam::channel::unbounded::<IoJob>();
 
@@ -750,7 +1002,9 @@ impl TransferManager {
             for _ in 0..io_threads {
                 let rx = rx.clone();
                 let (slots, cpu_busy_ns, io_busy_ns) = (&slots, &cpu_busy_ns, &io_busy_ns);
+                let fill_pack = &fill_pack;
                 scope.spawn(move || {
+                    let timers = Some((io_busy_ns, cpu_busy_ns));
                     for job in rx.iter() {
                         let (idx, key, put_outcome) = match job {
                             IoJob::PutGet {
@@ -766,12 +1020,37 @@ impl TransferManager {
                                 }
                             },
                             IoJob::Get { idx, key } => (idx, key, None),
+                            IoJob::PackPutGet { key, wire, members } => {
+                                let wanted: Vec<(usize, &str)> =
+                                    members.iter().map(|m| (m.idx, m.key.as_str())).collect();
+                                match self.put_wire(&key, wire, Some(io_busy_ns)) {
+                                    Ok(put_stats) => {
+                                        self.index_pack(
+                                            &key,
+                                            members.iter().map(|m| (m.key.as_str(), m.crc)),
+                                        );
+                                        let keys: Vec<&str> = wanted.iter().map(|w| w.1).collect();
+                                        let fetched = self.fetch_pack(&key, &keys, timers);
+                                        fill_pack(&wanted, fetched, put_stats);
+                                    }
+                                    Err(e) => fill_pack(&wanted, Err(e), RetryStats::default()),
+                                }
+                                continue;
+                            }
+                            IoJob::PackGet { key, members } => {
+                                let wanted: Vec<(usize, &str)> =
+                                    members.iter().map(|(idx, k)| (*idx, k.as_str())).collect();
+                                let keys: Vec<&str> = wanted.iter().map(|w| w.1).collect();
+                                let fetched = self.fetch_pack(&key, &keys, timers);
+                                fill_pack(&wanted, fetched, RetryStats::default());
+                                continue;
+                            }
                         };
                         let (put_stats, put_compressed) =
                             put_outcome.unwrap_or((RetryStats::default(), false));
-                        let fetched = self.fetch_with_retry(&key, Some((io_busy_ns, cpu_busy_ns)));
-                        *slots[idx].lock() =
-                            Some(fetched.map(|(payload, wire_bytes, compressed, get_stats)| {
+                        let fetched = self.fetch_plain(&key, timers);
+                        *slots[idx].lock() = Some(fetched.map(
+                            |((payload, wire_bytes, compressed), get_stats)| {
                                 let payload = self.pool.adopt(payload);
                                 let mut report = ItemReport {
                                     key,
@@ -787,23 +1066,27 @@ impl TransferManager {
                                 report.fold_stats(put_stats);
                                 report.fold_stats(get_stats);
                                 (report, payload)
-                            }));
+                            },
+                        ));
                     }
                 });
             }
 
             // Fetch-only keys go straight to the I/O stage.
-            for (i, key) in fetch_only.iter().enumerate() {
-                let _ = tx.send(IoJob::Get {
-                    idx: n_put + i,
-                    key: key.clone(),
-                });
+            for (idx, key) in plain_gets {
+                let _ = tx.send(IoJob::Get { idx, key });
+            }
+            for (key, members) in pack_gets {
+                let _ = tx.send(IoJob::PackGet { key, members });
             }
 
-            // Stage A: compression workers feeding the I/O pool.
+            // Stage A: compression workers feeding the I/O pool. A packed
+            // member parks its wire bytes in its pack's assembly; the
+            // worker that encodes a pack's last member seals the pack.
             for _ in 0..cpu_threads {
                 let tx = tx.clone();
                 let (queue, next, cpu_busy_ns) = (&queue, &next, &cpu_busy_ns);
+                let (slot_of, assemblies) = (&slot_of, &assemblies);
                 let config = &self.config;
                 scope.spawn(move || loop {
                     let q = next.fetch_add(1, Ordering::Relaxed);
@@ -813,13 +1096,63 @@ impl TransferManager {
                     let (idx, key, payload) = queue[q].lock().take().expect("claimed once");
                     let t = Instant::now();
                     let (wire, compressed) = compress_for_wire(config, payload);
+                    let job = match slot_of[idx] {
+                        None => Some(IoJob::PutGet {
+                            idx,
+                            key,
+                            wire,
+                            compressed,
+                        }),
+                        Some((g, pos)) => {
+                            let crc = gzlite::crc32(&wire);
+                            let complete = {
+                                let mut assembly = assemblies[g].lock();
+                                assembly.0[pos] = Some(Encoded {
+                                    idx,
+                                    key,
+                                    wire,
+                                    compressed,
+                                    crc,
+                                });
+                                assembly.1 -= 1;
+                                (assembly.1 == 0).then(|| std::mem::take(&mut assembly.0))
+                            };
+                            complete.map(|parts| {
+                                let parts: Vec<Encoded> = parts
+                                    .into_iter()
+                                    .map(|p| p.expect("every member encoded"))
+                                    .collect();
+                                let sealed: Vec<PackMember<'_>> = parts
+                                    .iter()
+                                    .map(|p| PackMember {
+                                        name: pack::split_key(&p.key).1,
+                                        compressed: p.compressed,
+                                        wire_crc: p.crc,
+                                        wire: &p.wire,
+                                    })
+                                    .collect();
+                                let key = pack::pack_key(&parts[0].key);
+                                // Sealed into an exactly sized buffer, not a
+                                // pooled one: the store keeps the bytes, so
+                                // a pool buffer would never cycle back.
+                                let wire = pack::seal(&sealed);
+                                drop(sealed);
+                                let members = parts
+                                    .into_iter()
+                                    .map(|p| Packed {
+                                        idx: p.idx,
+                                        key: p.key,
+                                        crc: p.crc,
+                                    })
+                                    .collect();
+                                IoJob::PackPutGet { key, wire, members }
+                            })
+                        }
+                    };
                     cpu_busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let _ = tx.send(IoJob::PutGet {
-                        idx,
-                        key,
-                        wire,
-                        compressed,
-                    });
+                    if let Some(job) = job {
+                        let _ = tx.send(job);
+                    }
                 });
             }
 
@@ -844,8 +1177,26 @@ impl TransferManager {
                 io_busy_seconds: io_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
                 cpu_workers: cpu_threads,
                 io_workers: io_threads,
+                buffers_put: n_put,
+                objects_put,
             },
         ))
+    }
+
+    /// Record a landed pack: each member's wire crc32 goes into the
+    /// ledger under the member's key (the pack's own crc went in with
+    /// its put), and the index maps each member key to the pack. An
+    /// entry left pointing at a pack since re-sealed without that member
+    /// fails its fetch as `NotFound`: members are looked up by name.
+    fn index_pack<'a>(&self, pack_key: &str, members: impl Iterator<Item = (&'a str, u32)>) {
+        let mut ledger = self.ledger.lock();
+        let mut index = self.packs.lock();
+        for (key, crc) in members {
+            if self.config.verify_integrity {
+                ledger.insert(key.to_string(), crc);
+            }
+            index.insert(key.to_string(), pack_key.to_string());
+        }
     }
 
     /// Fan a batch out over scoped worker threads, preserving input order
@@ -915,22 +1266,53 @@ fn compress_for_wire(config: &TransferConfig, payload: PoolBuf) -> (Vec<u8>, boo
     }
 }
 
+/// Map `f` over `items` on up to `threads` scoped workers, keeping
+/// order.
+fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<parking_lot::Mutex<Option<R>>> = items
+        .iter()
+        .map(|_| parking_lot::Mutex::new(None))
+        .collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { return };
+                *slots[i].lock() = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every item mapped"))
+        .collect()
+}
+
 /// Transparently decompress wire bytes: multi-frame streams (chunk
 /// decode fanned over `threads` workers), single frames (both with
 /// internal CRCs), or raw passthrough. Returns the payload and whether
 /// it was compressed on the wire.
 fn decode_wire(key: &str, wire: Vec<u8>, threads: usize) -> Result<(Vec<u8>, bool), StorageError> {
-    if gzlite::is_stream(&wire) {
-        let decoded = gzlite::decompress_stream_parallel(&wire, threads.max(1))
-            .map_err(|e| StorageError::Corrupted(format!("{key}: {e}")))?;
-        Ok((decoded, true))
-    } else if wire.len() >= MAGIC.len() && wire[..MAGIC.len()] == MAGIC {
-        let decoded = gzlite::decompress(&wire)
-            .map_err(|e| StorageError::Corrupted(format!("{key}: {e}")))?;
-        Ok((decoded, true))
+    if gzlite::is_stream(&wire) || wire.starts_with(&MAGIC) {
+        Ok((decode_frame(key, &wire, threads)?, true))
     } else {
         Ok((wire, false))
     }
+}
+
+/// Decode a gzlite stream or single frame.
+fn decode_frame(key: &str, wire: &[u8], threads: usize) -> Result<Vec<u8>, StorageError> {
+    let decoded = if gzlite::is_stream(wire) {
+        gzlite::decompress_stream_parallel(wire, threads.max(1))
+    } else {
+        gzlite::decompress(wire)
+    };
+    decoded.map_err(|e| StorageError::Corrupted(format!("{key}: {e}")))
 }
 
 #[cfg(test)]
@@ -1364,6 +1746,252 @@ mod tests {
             report.items[1].compressed,
             "staged object decompressed on fetch"
         );
+    }
+
+    /// Patterned, compressible payload of `len` bytes, distinct per `seed`.
+    fn patterned(len: usize, seed: u32) -> Vec<u8> {
+        (0..len as u32)
+            .map(|j| ((j % 61) ^ seed.wrapping_mul(131)) as u8)
+            .collect()
+    }
+
+    fn counted_manager(
+        min_compress: usize,
+    ) -> (TransferManager, Arc<crate::LatencyStore>, S3Store) {
+        let inner = S3Store::standalone("xfer");
+        let counted = Arc::new(crate::LatencyStore::new(
+            Arc::new(inner.clone()),
+            Duration::ZERO,
+        ));
+        let tm = TransferManager::new(
+            counted.clone(),
+            TransferConfig {
+                min_compression_size: min_compress,
+                retry: RetryPolicy::default().without_backoff(),
+                ..Default::default()
+            },
+        );
+        (tm, counted, inner)
+    }
+
+    #[test]
+    fn packed_pipeline_puts_one_object_per_pack() {
+        let (tm, counted, inner) = counted_manager(64);
+        // Twenty 4 KiB inputs pack together; a 300 KiB one is above the
+        // 256 KiB cap and goes out plain, between them.
+        let mut items: Vec<(String, Vec<u8>)> = (0..20)
+            .map(|i| (format!("job-0/in/v{i:02}"), patterned(4096, i)))
+            .collect();
+        items.insert(7, ("job-0/in/big".into(), patterned(300 * 1024, 99)));
+        let (payloads, report) = tm.upload_fetch_packed(items.clone(), vec![], 4).unwrap();
+        for ((key, expected), (got_key, got)) in items.iter().zip(&payloads) {
+            assert_eq!(got_key, key, "request order preserved");
+            assert_eq!(got, expected, "member decoded bitwise");
+        }
+        assert_eq!((report.buffers_put, report.objects_put), (21, 2));
+        assert_eq!(report.items.len(), 21, "one report item per buffer");
+        assert_eq!((counted.put_count(), counted.get_count()), (2, 2));
+        let stored = inner.list("job-0/");
+        assert_eq!(stored.len(), 2, "{stored:?}");
+        assert!(stored.contains(&"job-0/in/big".to_string()));
+        let pack_key = tm.pack_of("job-0/in/v00").unwrap();
+        assert!(stored.contains(&pack_key));
+        assert!(tm.pack_of("job-0/in/big").is_none());
+        // The ledger keeps per-member wire crcs (and the pack's own).
+        for (item, (key, payload)) in report.items.iter().zip(&items) {
+            if key == "job-0/in/big" {
+                continue;
+            }
+            let wire = gzlite::encode_wire(payload, &tm.config.wire_policy())
+                .unwrap_or_else(|| payload.clone());
+            assert_eq!(item.wire_bytes, wire.len() as u64);
+            assert_eq!(tm.ledger_crc(key), Some(gzlite::crc32(&wire)), "{key}");
+        }
+        assert!(tm.ledger_crc(&pack_key).is_some());
+        // A member key downloads through the index too.
+        let (got, _) = tm.download(vec!["job-0/in/v03".into()]).unwrap();
+        assert_eq!(got[0].1, items[3].1);
+        // Forgetting the prefix drops the index with the ledger.
+        tm.forget_prefix("job-0/");
+        assert!(tm.pack_of("job-0/in/v00").is_none());
+    }
+
+    #[test]
+    fn unpacked_pipeline_keeps_one_object_per_buffer() {
+        let (tm, counted, _) = counted_manager(64);
+        let items: Vec<(String, Vec<u8>)> = (0..5)
+            .map(|i| (format!("out/v{i}"), patterned(1024, i)))
+            .collect();
+        let (_, report) = tm.upload_fetch_pipelined(items, vec![], 4).unwrap();
+        assert_eq!((report.buffers_put, report.objects_put), (5, 5));
+        assert_eq!(counted.put_count(), 5);
+    }
+
+    #[test]
+    fn fetch_only_members_fetch_their_pack_once() {
+        let (tm, counted, _) = counted_manager(64);
+        let items: Vec<(String, Vec<u8>)> = (0..4)
+            .map(|i| (format!("job-0/in/v{i}"), patterned(2048, i)))
+            .collect();
+        tm.upload_fetch_packed(items.clone(), vec![], 4).unwrap();
+        counted.reset_counts();
+        // Three members of the old pack plus one fresh buffer (a pack of
+        // one: plain).
+        let fresh = patterned(2048, 77);
+        let (payloads, report) = tm
+            .upload_fetch_packed(
+                vec![("job-1/in/v3".to_string(), fresh.clone())],
+                items[..3].iter().map(|(k, _)| k.clone()).collect(),
+                4,
+            )
+            .unwrap();
+        assert_eq!(payloads[0].1, fresh);
+        for (i, (key, payload)) in items[..3].iter().enumerate() {
+            assert_eq!(&payloads[1 + i].0, key);
+            assert_eq!(&payloads[1 + i].1, payload);
+        }
+        assert!(report.items[1..].iter().all(|i| i.compressed));
+        assert_eq!(counted.put_count(), 1, "only the fresh buffer is put");
+        assert_eq!(counted.get_count(), 2, "fresh object + the old pack once");
+        // A plain re-put of a packed key supersedes its pack membership.
+        tm.upload(vec![("job-0/in/v0".to_string(), vec![5u8; 16])])
+            .unwrap();
+        assert!(tm.pack_of("job-0/in/v0").is_none());
+        let (got, _) = tm.download(vec!["job-0/in/v0".into()]).unwrap();
+        assert_eq!(got[0].1, vec![5u8; 16]);
+    }
+
+    #[test]
+    fn a_replaced_pack_never_serves_a_member_it_no_longer_holds() {
+        let (tm, _) = manager(64);
+        let a = patterned(512, 1);
+        tm.upload_fetch_packed(
+            vec![
+                ("in/a".to_string(), a.clone()),
+                ("in/b".to_string(), patterned(512, 2)),
+            ],
+            vec![],
+            2,
+        )
+        .unwrap();
+        // Same first member, different company: the pack key is reused.
+        tm.upload_fetch_packed(
+            vec![
+                ("in/a".to_string(), a.clone()),
+                ("in/c".to_string(), patterned(512, 3)),
+            ],
+            vec![],
+            2,
+        )
+        .unwrap();
+        assert!(matches!(
+            tm.download(vec!["in/b".into()]),
+            Err(StorageError::NotFound(_))
+        ));
+        let (got, _) = tm.download(vec!["in/a".into()]).unwrap();
+        assert_eq!(got[0].1, a);
+    }
+
+    #[test]
+    fn corrupted_pack_heals_with_one_refetch() {
+        let plan = FaultPlan::new(9).rule(
+            FaultRule::new(OpFilter::Get, Trigger::OpIndex(0), FaultKind::Corrupt).on_keys(".pack"),
+        );
+        let (tm, _) = chaos_manager(64, plan);
+        let items: Vec<(String, Vec<u8>)> = (0..6)
+            .map(|i| (format!("in/p{i}"), patterned(8192, i)))
+            .collect();
+        let (payloads, report) = tm.upload_fetch_packed(items.clone(), vec![], 2).unwrap();
+        for ((_, expected), (_, got)) in items.iter().zip(&payloads) {
+            assert_eq!(got, expected, "healed bitwise");
+        }
+        assert_eq!(report.objects_put, 1);
+        assert_eq!(report.total_refetches(), 1, "one re-get heals the pack");
+        assert_eq!(report.total_retries(), 0);
+    }
+
+    #[test]
+    fn transient_pack_put_is_retried_and_counted_once() {
+        let plan = FaultPlan::new(10).rule(
+            FaultRule::new(OpFilter::Put, Trigger::OpIndex(0), FaultKind::Transient)
+                .on_keys(".pack"),
+        );
+        let (tm, _) = chaos_manager(64, plan);
+        let items: Vec<(String, Vec<u8>)> = (0..3)
+            .map(|i| (format!("in/t{i}"), patterned(1000, i)))
+            .collect();
+        let (payloads, report) = tm.upload_fetch_packed(items.clone(), vec![], 2).unwrap();
+        assert_eq!(payloads[2].1, items[2].1);
+        assert_eq!(report.total_retries(), 1);
+    }
+
+    #[test]
+    fn at_rest_pack_damage_fails_every_member() {
+        let (tm, store) = manager(64);
+        let items: Vec<(String, Vec<u8>)> = (0..3)
+            .map(|i| (format!("in/d{i}"), patterned(1000, i)))
+            .collect();
+        tm.upload_fetch_packed(items.clone(), vec![], 2).unwrap();
+        let pack_key = tm.pack_of("in/d0").unwrap();
+        let mut stored = store.get(&pack_key).unwrap();
+        let last = stored.len() - 1;
+        stored[last] ^= 0x01;
+        store.put(&pack_key, stored).unwrap();
+        let err = tm
+            .upload_fetch_packed(Vec::<(String, Vec<u8>)>::new(), vec!["in/d1".into()], 2)
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Corrupted(_)), "{err:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The transfer layer's wire decoder returns `Ok` or `Err` on
+        /// arbitrary bytes, truncations and single-bit flips of valid
+        /// frames and streams — never a panic or an abort.
+        #[test]
+        fn decode_wire_never_panics(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            len in 0usize..3000,
+            seed in 0u32..1000,
+            bit in 0usize..1_000_000,
+            stream in proptest::prelude::any::<bool>(),
+        ) {
+            let _ = decode_wire("k", noise.clone(), 2);
+            let mut forged = gzlite::STREAM_MAGIC.to_vec();
+            forged.extend_from_slice(&noise);
+            let _ = decode_wire("k", forged, 2);
+            // A frame header over arbitrary tokens. The declared length
+            // stays bounded: a frame that really declares gigabytes of
+            // zeros is valid and would decode to them.
+            let mut frame = MAGIC.to_vec();
+            frame.push((seed % 6) as u8);
+            let mut declared = len as u64;
+            while declared >= 0x80 {
+                frame.push(declared as u8 | 0x80);
+                declared >>= 7;
+            }
+            frame.push(declared as u8);
+            frame.extend_from_slice(&noise);
+            let _ = decode_wire("k", frame, 2);
+            let payload = patterned(len, seed);
+            let wire = if stream {
+                gzlite::compress_stream(&payload, 512)
+            } else {
+                gzlite::compress_auto(&payload)
+            };
+            for cut in (0..wire.len()).step_by(7) {
+                let _ = decode_wire("k", wire[..cut].to_vec(), 2);
+            }
+            let mut flipped = wire.clone();
+            let bit = bit % (wire.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok((decoded, true)) = decode_wire("k", flipped, 2) {
+                // Frames carry their own crc: a flip that still decodes
+                // must have decoded to the original bytes.
+                proptest::prop_assert_eq!(decoded, payload);
+            }
+        }
     }
 
     #[test]
